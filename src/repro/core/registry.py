@@ -126,6 +126,20 @@ ALGORITHMS: Dict[str, tuple[_Factory, bool]] = {
     "Malleable-Agreement": (_malleable_agreement, True),
 }
 
+#: Factories that hand ``max_skip_count`` (``C_s``) to their scheduler.
+#: Every other factory drops it, so its runs are the same at any C_s.
+_SKIP_COUNT_FACTORIES = (_delayed, _hybrid, _adaptive)
+
+#: Algorithms whose behaviour depends on ``max_skip_count`` (``C_s``).
+#: :func:`repro.experiments.parallel.execute_runs` simulates the other
+#: algorithms once per distinct run whatever C_s their specs carry;
+#: ``tests/core/test_registry.py`` checks the declaration both ways.
+READS_MAX_SKIP_COUNT = frozenset(
+    name
+    for name, (factory, _) in ALGORITHMS.items()
+    if factory in _SKIP_COUNT_FACTORIES
+)
+
 
 def make_scheduler(
     name: str,
@@ -136,8 +150,10 @@ def make_scheduler(
 
     Args:
         name: Registry key (case-sensitive, paper spelling).
-        max_skip_count: ``C_s`` for Delayed-LOS / Hybrid-LOS (ignored
-            by the baselines, whose behaviour pins it).
+        max_skip_count: ``C_s`` for the algorithms in
+            :data:`READS_MAX_SKIP_COUNT` (Delayed-LOS, Hybrid-LOS, their
+            ``-E`` variants and ADAPTIVE(-E)); every other factory
+            drops it.
         lookahead: DP window for the LOS family.
 
     Raises:
@@ -153,4 +169,4 @@ def make_scheduler(
     return scheduler
 
 
-__all__ = ["ALGORITHMS", "make_scheduler"]
+__all__ = ["ALGORITHMS", "READS_MAX_SKIP_COUNT", "make_scheduler"]

@@ -6,16 +6,26 @@ The paper varies Load in [0.5, 1] by varying ``β_arr`` in
 bisection on the generated workload's measured load converges quickly.
 Calibration is per (generator config, seed): each plotted point in §V
 is a single seeded run whose measured load is the x-coordinate.
+
+Only the arrivals depend on ``β_arr``, so the job draws are made once
+and each probe samples arrivals alone; the workload is assembled once,
+for the returned ``β_arr``.  Every probe measures exactly the load the
+full workload would have at that ``β_arr``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, NamedTuple
 
 import numpy as np
 
-from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig, Workload
+from repro.workload.generator import (
+    CWFWorkloadGenerator,
+    GeneratorConfig,
+    Workload,
+    substreams,
+)
 
 
 @dataclass(frozen=True)
@@ -27,10 +37,13 @@ class CalibrationResult:
     workload: Workload
 
 
-def _measured_load(config: GeneratorConfig, beta_arr: float, seed: int) -> Tuple[float, Workload]:
-    generator = CWFWorkloadGenerator(config.with_beta_arr(beta_arr))
-    workload = generator.generate(np.random.default_rng(seed))
-    return workload.offered_load(), workload
+class _Probe(NamedTuple):
+    """The load one ``β_arr`` gives, with what it takes to assemble it."""
+
+    beta_arr: float
+    load: float
+    generator: CWFWorkloadGenerator
+    arrivals: List[float]
 
 
 def calibrate_beta_arr(
@@ -66,36 +79,48 @@ def calibrate_beta_arr(
     if target_load <= 0:
         raise ValueError(f"target load must be positive, got {target_load}")
 
-    load_at_low, wl_low = _measured_load(config, low, seed)
-    if target_load >= load_at_low:
-        if abs(load_at_low - target_load) <= tolerance:
-            return CalibrationResult(low, load_at_low, wl_low)
+    _, attr_rng, ecc_rng = substreams(np.random.default_rng(seed))
+    draws = CWFWorkloadGenerator(config).draw_jobs(attr_rng, ecc_rng)
+
+    def probe(beta_arr: float) -> _Probe:
+        generator = CWFWorkloadGenerator(config.with_beta_arr(beta_arr))
+        arrival_rng, _, _ = substreams(np.random.default_rng(seed))
+        arrivals = generator.sample_arrivals(arrival_rng)
+        return _Probe(beta_arr, generator.offered_load(draws, arrivals), generator, arrivals)
+
+    def result(found: _Probe) -> CalibrationResult:
+        workload = found.generator.assemble(draws, found.arrivals)
+        return CalibrationResult(found.beta_arr, found.load, workload)
+
+    at_low = probe(low)
+    if target_load >= at_low.load:
+        if abs(at_low.load - target_load) <= tolerance:
+            return result(at_low)
         raise ValueError(
             f"target load {target_load:.3f} exceeds the achievable maximum "
-            f"{load_at_low:.3f} at beta_arr={low}; widen the bracket"
+            f"{at_low.load:.3f} at beta_arr={low}; widen the bracket"
         )
-    load_at_high, wl_high = _measured_load(config, high, seed)
-    if target_load <= load_at_high:
-        if abs(load_at_high - target_load) <= tolerance:
-            return CalibrationResult(high, load_at_high, wl_high)
+    at_high = probe(high)
+    if target_load <= at_high.load:
+        if abs(at_high.load - target_load) <= tolerance:
+            return result(at_high)
         raise ValueError(
             f"target load {target_load:.3f} is below the achievable minimum "
-            f"{load_at_high:.3f} at beta_arr={high}; widen the bracket"
+            f"{at_high.load:.3f} at beta_arr={high}; widen the bracket"
         )
 
-    best = CalibrationResult(low, load_at_low, wl_low)
+    best = at_low
     for _ in range(max_iterations):
-        mid = 0.5 * (low + high)
-        load, workload = _measured_load(config, mid, seed)
-        if abs(load - target_load) < abs(best.achieved_load - target_load):
-            best = CalibrationResult(mid, load, workload)
-        if abs(load - target_load) <= tolerance:
-            return CalibrationResult(mid, load, workload)
-        if load > target_load:
-            low = mid  # too much load -> slow arrivals down
+        mid = probe(0.5 * (low + high))
+        if abs(mid.load - target_load) < abs(best.load - target_load):
+            best = mid
+        if abs(mid.load - target_load) <= tolerance:
+            return result(mid)
+        if mid.load > target_load:
+            low = mid.beta_arr  # too much load -> slow arrivals down
         else:
-            high = mid
-    return best
+            high = mid.beta_arr
+    return result(best)
 
 
 __all__ = ["CalibrationResult", "calibrate_beta_arr"]

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from multiprocessing import get_all_start_methods, get_context
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
-from repro.core.registry import make_scheduler
+from repro.core.registry import READS_MAX_SKIP_COUNT, make_scheduler
 from repro.experiments.cache import RunCache
 from repro.experiments.runner import SimulationRunner
 from repro.faults.model import FaultConfig, RetryPolicy
@@ -535,6 +535,32 @@ class SweepInterrupted(KeyboardInterrupt):
         self.total = total
 
 
+def _run_identity(spec: RunSpec) -> Optional[Tuple[object, ...]]:
+    """What makes two specs one simulation (None: the spec runs alone).
+
+    ``C_s`` counts only for the algorithms that read it
+    (:data:`~repro.core.registry.READS_MAX_SKIP_COUNT`).  A spec that
+    writes a trace, spans or checkpoint file never shares its run: each
+    such file must be produced by a run of its own.
+    """
+    if (
+        spec.trace_out is not None
+        or spec.spans_out is not None
+        or spec.spans
+        or spec.checkpoint_dir is not None
+    ):
+        return None
+    return (
+        id(spec.workload),
+        spec.algorithm,
+        spec.max_skip_count if spec.algorithm in READS_MAX_SKIP_COUNT else None,
+        spec.lookahead,
+        spec.max_eccs_per_job,
+        spec.faults,
+        spec.retry,
+    )
+
+
 def execute_runs(
     specs: Sequence[RunSpec],
     *,
@@ -550,10 +576,17 @@ def execute_runs(
     index regardless of completion order, so the output is identical
     to a serial loop — the determinism tests enforce this bit-for-bit.
 
+    Each distinct simulation runs once: specs on the same workload
+    object that differ only in a ``max_skip_count`` their algorithm
+    ignores (EASY and LOS across a C_s sweep), or not at all, share one
+    run and receive the same :class:`RunMetrics` object.  Every spec
+    still gets its own cache entry and manifest record.
+
     Specs that request a trace file (``RunSpec.trace_out``) or a spans
     profile (``RunSpec.spans_out``) are always simulated, never served
     from the cache: a hit would skip the run and leave no file behind.
-    Their metrics are still stored back.
+    Their metrics are still stored back.  Such specs, and checkpointed
+    ones, never share a run.
 
     Args:
         specs: The runs to perform.
@@ -595,6 +628,10 @@ def execute_runs(
     results: List[Optional[RunMetrics]] = [None] * len(specs)
     keys: List[Optional[str]] = [None] * len(specs)
     pending: List[int] = []
+    # first[identity]: the pending index that simulates it;
+    # copies[index]: later indices that take that index's result.
+    first: Dict[Tuple[object, ...], int] = {}
+    copies: Dict[int, List[int]] = {}
     for index, spec in enumerate(specs):
         if cache.enabled:
             keys[index] = cache.key(
@@ -617,20 +654,27 @@ def execute_runs(
                     if tracker is not None:
                         tracker.hit()
                     continue
+        identity = _run_identity(spec)
+        if identity is not None:
+            if identity in first:
+                copies.setdefault(first[identity], []).append(index)
+                continue
+            first[identity] = index
         pending.append(index)
 
     def _land(position: int, metrics: RunMetrics, retried: bool) -> None:
         # Fires as each fresh result arrives: persist before moving on,
         # so an interrupt loses only the runs still in flight.
-        index = pending[position]
-        results[index] = metrics
-        key = keys[index]
-        if key is not None:
-            cache.put(key, metrics)
-            if manifest is not None:
-                manifest.mark_done(key, algorithm=specs[index].algorithm)
-        if tracker is not None:
-            tracker.ran(retried=retried)
+        simulated = pending[position]
+        for index in [simulated, *copies.get(simulated, ())]:
+            results[index] = metrics
+            key = keys[index]
+            if key is not None:
+                cache.put(key, metrics)
+                if manifest is not None:
+                    manifest.mark_done(key, algorithm=specs[index].algorithm)
+            if tracker is not None:
+                tracker.ran(retried=retried)
 
     try:
         work_hint = sum(len(specs[index].workload) for index in pending)

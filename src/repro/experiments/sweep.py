@@ -182,7 +182,9 @@ def cs_sweep(
     One workload is calibrated to ``target_load`` and *reused* across
     all ``C_s`` values (only Delayed-LOS reacts to ``C_s``; EASY/LOS
     provide flat reference lines, as in the figures).  The whole
-    (C_s × algorithm) grid is dispatched as one batch.
+    (C_s × algorithm) grid is dispatched as one batch, in which
+    :func:`~repro.experiments.parallel.execute_runs` simulates each
+    C_s-blind algorithm once.
     """
     calibration = calibrate_beta_arr(config.generator, target_load, seed=config.seed)
     specs = [

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -157,7 +157,8 @@ class Workload:
         This is how [7] (and the paper's Figure 1) varies load on a
         fixed log: stretching inter-arrival gaps lowers load, while
         sizes and runtimes — the packing properties — stay untouched.
-        Dedicated start offsets are preserved relative to submission.
+        Dedicated start, cancellation and ECC offsets are preserved
+        relative to submission.
         """
         if factor <= 0:
             raise ValueError(f"arrival scale factor must be positive, got {factor}")
@@ -182,11 +183,17 @@ class Workload:
                     cancel_at=cancel,
                 )
             )
-        ratio = {job.job_id: job.submit for job in self.jobs}
+        # Shift ECCs like the dedicated start, keeping their delay after
+        # submission: adding submit * (factor - 1) to the issue time can
+        # put a command issued at its job's submit instant one ulp
+        # before the scaled submission, which CWF files may not hold.
+        submit = {job.job_id: job.submit for job in self.jobs}
         eccs = [
             ECC(
                 job_id=e.job_id,
-                issue_time=e.issue_time + ratio[e.job_id] * (factor - 1.0),
+                issue_time=(
+                    submit[e.job_id] * factor + (e.issue_time - submit[e.job_id])
+                ),
                 kind=e.kind,
                 amount=e.amount,
             )
@@ -219,8 +226,44 @@ class Workload:
         )
 
 
+class JobDraw(NamedTuple):
+    """One synthetic job's draws that do not depend on ``β_arr``.
+
+    Offsets are relative to the job's submission, which only its
+    arrival fixes; :meth:`CWFWorkloadGenerator.assemble` adds them.
+    """
+
+    num: int
+    actual: float
+    estimate: float
+    #: Rounded delay from submission to cancellation (None = never).
+    cancel_offset: Optional[float]
+    #: Rounded delay from submission to a dedicated job's requested
+    #: start (None = batch job).
+    start_offset: Optional[float]
+    #: ``(kind, amount, unrounded issue delay)`` per ECC, ET before RT.
+    eccs: Tuple[Tuple[ECCKind, float, float], ...]
+
+
+class _LoadTerm(NamedTuple):
+    """Just what :func:`~repro.workload.load.offered_load` reads of a job."""
+
+    submit: float
+    num: int
+    runtime: float
+
+    def effective_runtime(self) -> float:
+        return self.runtime
+
+
 class CWFWorkloadGenerator:
-    """Synthesizes :class:`Workload` objects from a :class:`GeneratorConfig`."""
+    """Synthesizes :class:`Workload` objects from a :class:`GeneratorConfig`.
+
+    Generation is two steps: :meth:`draw_jobs` draws everything but the
+    arrivals, and :meth:`assemble` places those draws at an arrival
+    list.  Only arrivals depend on the load knob ``β_arr``, so load
+    calibration draws jobs once and resamples arrivals per probe.
+    """
 
     def __init__(self, config: GeneratorConfig = GeneratorConfig()) -> None:
         self.config = config
@@ -230,18 +273,64 @@ class CWFWorkloadGenerator:
     # ------------------------------------------------------------------
     def generate(self, rng: np.random.Generator) -> Workload:
         """Draw one complete workload."""
-        cfg = self.config
         # Independent substreams: job attributes and ECCs are identical
         # across load-knob (beta_arr) probes, so calibration sweeps one
         # smooth dimension (see LublinModel.sample_gap).
-        arrival_rng, attr_rng, ecc_rng = rng.spawn(3)
-        arrivals = self._lublin.sample_arrivals(cfg.n_jobs, arrival_rng)
+        arrival_rng, attr_rng, ecc_rng = substreams(rng)
+        draws = self.draw_jobs(attr_rng, ecc_rng)
+        return self.assemble(draws, self.sample_arrivals(arrival_rng))
+
+    def sample_arrivals(self, rng: np.random.Generator) -> List[float]:
+        """The workload's arrival instants (the only ``β_arr``-dependent draw)."""
+        return self._lublin.sample_arrivals(self.config.n_jobs, rng)
+
+    def draw_jobs(
+        self, attr_rng: np.random.Generator, ecc_rng: np.random.Generator
+    ) -> List[JobDraw]:
+        """Every job's ``β_arr``-independent draws, in job-id order."""
+        return [self._draw_job(attr_rng, ecc_rng) for _ in range(self.config.n_jobs)]
+
+    def _draw_job(
+        self, attr_rng: np.random.Generator, ecc_rng: np.random.Generator
+    ) -> JobDraw:
+        """Draw one job's attributes (from ``attr_rng``) and ECCs (``ecc_rng``)."""
+        cfg = self.config
+        size = self._sizes.sample(attr_rng)
+        actual = self._round_time(self._lublin.sample_runtime(size, attr_rng))
+        estimate = self._round_time(actual * cfg.estimate_factor)
+        cancel_offset = None
+        if cfg.p_cancel > 0.0 and attr_rng.random() < cfg.p_cancel:
+            cancel_offset = self._round_time(
+                exponential(cfg.cancel_mean_fraction * actual, attr_rng)
+            )
+        start_offset = None
+        if attr_rng.random() < cfg.p_dedicated:
+            start_offset = self._round_time(
+                exponential(cfg.dedicated_start_mean, attr_rng)
+            )
+        commands = []
+        for kind, probability in (
+            (ECCKind.EXTEND_TIME, cfg.p_extend),
+            (ECCKind.REDUCE_TIME, cfg.p_reduce),
+        ):
+            if probability <= 0.0 or ecc_rng.random() >= probability:
+                continue
+            amount = self._round_time(
+                exponential(cfg.ecc_amount_mean * estimate, ecc_rng)
+            )
+            delay = exponential(cfg.ecc_issue_mean_fraction * estimate, ecc_rng)
+            commands.append((kind, amount, delay))
+        return JobDraw(size, actual, estimate, cancel_offset, start_offset, tuple(commands))
+
+    def assemble(self, draws: Sequence[JobDraw], arrivals: Sequence[float]) -> Workload:
+        """The workload whose ``i``-th job arrives at ``arrivals[i]``."""
+        cfg = self.config
         jobs: List[Job] = []
         eccs: List[ECC] = []
-        for index, arrival in enumerate(arrivals, start=1):
-            job = self._generate_job(index, arrival, attr_rng)
+        for index, (arrival, draw) in enumerate(zip(arrivals, draws), start=1):
+            job, commands = self._build_job(index, arrival, draw)
             jobs.append(job)
-            eccs.extend(self._generate_eccs(job, ecc_rng))
+            eccs.extend(commands)
         return Workload(
             jobs=jobs,
             eccs=eccs,
@@ -254,69 +343,67 @@ class CWFWorkloadGenerator:
             ),
         )
 
+    def _build_job(
+        self, job_id: int, arrival: float, draw: JobDraw
+    ) -> Tuple[Job, List[ECC]]:
+        """Place one job's draws at its arrival: the job and its ECCs."""
+        submit = self._submit(arrival)
+        dedicated = draw.start_offset is not None
+        job = Job(
+            job_id=job_id,
+            submit=submit,
+            num=draw.num,
+            estimate=draw.estimate,
+            actual=draw.actual,
+            kind=JobKind.DEDICATED if dedicated else JobKind.BATCH,
+            requested_start=submit + draw.start_offset if dedicated else None,
+            cancel_at=None if draw.cancel_offset is None else submit + draw.cancel_offset,
+        )
+        eccs = [
+            ECC(
+                job_id=job_id,
+                issue_time=self._round_time(submit + delay),
+                kind=kind,
+                amount=amount,
+            )
+            for kind, amount, delay in draw.eccs
+        ]
+        return job, eccs
+
+    def offered_load(self, draws: Sequence[JobDraw], arrivals: Sequence[float]) -> float:
+        """``assemble(draws, arrivals).offered_load()`` without building jobs.
+
+        Feeds :func:`~repro.workload.load.offered_load` the same values
+        in the same ``(submit, job_id)`` order as the assembled
+        workload's sorted job list, so the result is bitwise equal.
+        """
+        terms = [
+            _LoadTerm(self._submit(arrival), draw.num, min(draw.actual, draw.estimate))
+            for arrival, draw in zip(arrivals, draws)
+        ]
+        terms.sort(key=lambda term: term.submit)  # stable: ties keep job-id order
+        return offered_load(terms, self.config.machine_size)
+
     # ------------------------------------------------------------------
     def _round_time(self, value: float) -> float:
         if self.config.integral_times:
             return float(max(1, round(value)))
         return float(value)
 
-    def _generate_job(self, job_id: int, arrival: float, rng: np.random.Generator) -> Job:
-        cfg = self.config
-        size = self._sizes.sample(rng)
-        actual = self._round_time(self._lublin.sample_runtime(size, rng))
-        estimate = self._round_time(actual * cfg.estimate_factor)
-        submit = float(round(arrival)) if cfg.integral_times else arrival
-        cancel_at = None
-        if cfg.p_cancel > 0.0 and rng.random() < cfg.p_cancel:
-            cancel_at = submit + self._round_time(
-                exponential(cfg.cancel_mean_fraction * actual, rng)
-            )
-        if rng.random() < cfg.p_dedicated:
-            offset = self._round_time(exponential(cfg.dedicated_start_mean, rng))
-            return Job(
-                job_id=job_id,
-                submit=submit,
-                num=size,
-                estimate=estimate,
-                actual=actual,
-                kind=JobKind.DEDICATED,
-                requested_start=submit + offset,
-                cancel_at=cancel_at,
-            )
-        return Job(
-            job_id=job_id,
-            submit=submit,
-            num=size,
-            estimate=estimate,
-            actual=actual,
-            kind=JobKind.BATCH,
-            cancel_at=cancel_at,
-        )
-
-    def _generate_eccs(self, job: Job, rng: np.random.Generator) -> List[ECC]:
-        cfg = self.config
-        commands: List[ECC] = []
-        for kind, probability in (
-            (ECCKind.EXTEND_TIME, cfg.p_extend),
-            (ECCKind.REDUCE_TIME, cfg.p_reduce),
-        ):
-            if probability <= 0.0 or rng.random() >= probability:
-                continue
-            amount = self._round_time(
-                exponential(cfg.ecc_amount_mean * job.estimate, rng)
-            )
-            issue_offset = exponential(
-                cfg.ecc_issue_mean_fraction * job.estimate, rng
-            )
-            commands.append(
-                ECC(
-                    job_id=job.job_id,
-                    issue_time=self._round_time(job.submit + issue_offset),
-                    kind=kind,
-                    amount=amount,
-                )
-            )
-        return commands
+    def _submit(self, arrival: float) -> float:
+        return float(round(arrival)) if self.config.integral_times else arrival
 
 
-__all__ = ["CWFWorkloadGenerator", "GeneratorConfig", "Workload"]
+def substreams(
+    rng: np.random.Generator,
+) -> Tuple[np.random.Generator, np.random.Generator, np.random.Generator]:
+    """The ``(arrivals, attributes, ECCs)`` substreams a workload draws from.
+
+    Spawning mutates ``rng``, so a caller that needs the streams of one
+    seed twice re-seeds a fresh generator each time.
+    """
+    arrival_rng, attr_rng, ecc_rng = rng.spawn(3)
+    return arrival_rng, attr_rng, ecc_rng
+
+
+__all__ = ["CWFWorkloadGenerator", "GeneratorConfig", "JobDraw", "Workload", "substreams"]

@@ -39,7 +39,11 @@ import numpy as np
 from repro.workload.cwf import CWFParseError, iter_cwf
 from repro.workload.ecc import ECC
 from repro.workload.errors import WorkloadFormatError
-from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig
+from repro.workload.generator import (
+    CWFWorkloadGenerator,
+    GeneratorConfig,
+    substreams,
+)
 from repro.workload.job import Job
 from repro.workload.swf import iter_swf
 
@@ -466,14 +470,15 @@ class SyntheticWorkloadStream:
         cfg = self.config
         generator = CWFWorkloadGenerator(cfg)
         rng = np.random.default_rng(self.seed)
-        arrival_rng, attr_rng, ecc_rng = rng.spawn(3)
+        arrival_rng, attr_rng, ecc_rng = substreams(rng)
         pending: list[Tuple[float, int, int, ECC]] = []
         tie = 0
         for index, arrival in enumerate(
             _iter_arrivals(generator._lublin, cfg.n_jobs, arrival_rng), start=1
         ):
-            job = generator._generate_job(index, arrival, attr_rng)
-            commands = generator._generate_eccs(job, ecc_rng)
+            job, commands = generator._build_job(
+                index, arrival, generator._draw_job(attr_rng, ecc_rng)
+            )
             # Commands sort by (issue_time, job_id) like the eager
             # Workload does.  Release earlier jobs' commands due by this
             # submission *before* the job, but push the job's own ones

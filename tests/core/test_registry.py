@@ -9,7 +9,8 @@ from repro.core.delayed_los import DelayedLOS
 from repro.core.easy import EasyBackfill
 from repro.core.hybrid_los import HybridLOS
 from repro.core.los import LOS
-from repro.core.registry import ALGORITHMS, make_scheduler
+from repro.core.registry import ALGORITHMS, READS_MAX_SKIP_COUNT, make_scheduler
+from repro.experiments.runner import SimulationRunner
 
 #: The twelve rows of Table III.
 TABLE_III = [
@@ -75,3 +76,46 @@ class TestConstruction:
         a = make_scheduler("Delayed-LOS")
         b = make_scheduler("Delayed-LOS")
         assert a is not b
+
+
+class TestSkipCountDeclaration:
+    """``READS_MAX_SKIP_COUNT`` is what lets ``execute_runs`` simulate
+    a C_s-blind algorithm once per C_s sweep; a wrong entry would hand
+    back another run's metrics."""
+
+    FIXTURES = ("small_batch_workload", "small_hetero_workload", "small_elastic_workload")
+
+    @staticmethod
+    def _runs(name, workload):
+        return [
+            SimulationRunner(workload, make_scheduler(name, max_skip_count=cs)).run()
+            for cs in (1, 20)
+        ]
+
+    def test_declares_delayed_hybrid_and_adaptive(self):
+        assert READS_MAX_SKIP_COUNT == {
+            "Delayed-LOS", "Delayed-LOS-E", "Hybrid-LOS", "Hybrid-LOS-E",
+            "ADAPTIVE", "ADAPTIVE-E",
+        }
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(ALGORITHMS) - READS_MAX_SKIP_COUNT)
+    )
+    def test_blind_algorithms_ignore_cs(self, name, request):
+        for fixture in self.FIXTURES:
+            workload = request.getfixturevalue(fixture)
+            if workload.dedicated_jobs and not make_scheduler(name).handles_dedicated:
+                continue
+            at_1, at_20 = self._runs(name, workload)
+            assert at_1 == at_20, (name, fixture)
+
+    @pytest.mark.parametrize("name", ["Delayed-LOS", "Hybrid-LOS"])
+    def test_reading_algorithms_react_to_cs(self, name, request):
+        differs = []
+        for fixture in self.FIXTURES:
+            workload = request.getfixturevalue(fixture)
+            if workload.dedicated_jobs and not make_scheduler(name).handles_dedicated:
+                continue
+            at_1, at_20 = self._runs(name, workload)
+            differs.append(at_1 != at_20)
+        assert any(differs), name

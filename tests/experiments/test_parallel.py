@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import repro.experiments.parallel as parallel_module
+from repro.core.registry import ALGORITHMS as REGISTRY
+from repro.core.registry import READS_MAX_SKIP_COUNT
 from repro.experiments.cache import RunCache
 from repro.experiments.parallel import (
     ENV_JOBS,
@@ -251,3 +253,104 @@ class TestCacheIntegration:
         assert cache.stats.hits == len(ALGORITHMS)
         for name in ALGORITHMS:
             assert cold[name] == warm[name], name
+
+
+class TestDistinctRunsOnce:
+    """``execute_runs`` simulates each distinct spec once and hands the
+    result back at every index that names it."""
+
+    ALL = sorted(REGISTRY)
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        real = parallel_module.execute_spec
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(parallel_module, "execute_spec", counting)
+        return calls
+
+    def _sweep(self, workload, tmp_path):
+        specs = [
+            RunSpec(workload=workload, algorithm=name, max_skip_count=cs)
+            for cs in (3, 7)
+            for name in self.ALL
+        ]
+        traced = [
+            RunSpec(workload=workload, algorithm="EASY",
+                    trace_out=str(tmp_path / f"easy-{copy}.jsonl"))
+            for copy in (1, 2)
+        ]
+        return specs + traced
+
+    def test_results_match_separate_runs(self, small_elastic_workload, tmp_path, counted):
+        specs = self._sweep(small_elastic_workload, tmp_path)
+        results = execute_runs(specs, jobs=1)
+        blind = len(set(self.ALL) - READS_MAX_SKIP_COUNT)
+        assert len(counted) == blind + 2 * len(READS_MAX_SKIP_COUNT) + 2
+        for spec, got in zip(specs, results):
+            assert got == execute_spec(spec), (spec.algorithm, spec.max_skip_count)
+        for copy in (1, 2):
+            assert (tmp_path / f"easy-{copy}.jsonl").stat().st_size > 0
+
+    def test_identical_specs_share_one_run(self, small_batch_workload, counted):
+        spec = RunSpec(workload=small_batch_workload, algorithm="Delayed-LOS")
+        first, second = execute_runs([spec, spec], jobs=1)
+        assert len(counted) == 1
+        assert first is second
+
+    def test_different_workload_objects_never_share(self, counted):
+        config = GeneratorConfig(n_jobs=40)
+        workloads = [
+            CWFWorkloadGenerator(config).generate(np.random.default_rng(3))
+            for _ in range(2)
+        ]
+        execute_runs([RunSpec(workload=w, algorithm="EASY") for w in workloads], jobs=1)
+        assert len(counted) == 2
+
+    @pytest.mark.parametrize("side_output", ["trace_out", "spans_out", "spans", "checkpoint_dir"])
+    def test_file_producing_specs_never_share(
+        self, small_batch_workload, tmp_path, counted, side_output
+    ):
+        def spec(copy):
+            value = True if side_output == "spans" else str(tmp_path / f"{side_output}-{copy}")
+            return RunSpec(workload=small_batch_workload, algorithm="EASY",
+                           **{side_output: value})
+
+        first, second = execute_runs([spec(1), spec(2)], jobs=1)
+        assert len(counted) == 2
+        assert first == second
+        if side_output in ("trace_out", "spans_out"):
+            for copy in (1, 2):
+                assert (tmp_path / f"{side_output}-{copy}").stat().st_size > 0
+
+    def test_every_original_key_is_cached_and_marked(
+        self, small_elastic_workload, tmp_path, counted
+    ):
+        from repro.durable.manifest import SweepManifest
+
+        specs = self._sweep(small_elastic_workload, tmp_path)
+        cache = RunCache(root=tmp_path / "cache")
+        manifest = SweepManifest(tmp_path / "manifest.jsonl")
+        results = execute_runs(specs, jobs=1, cache=cache, manifest=manifest)
+        assert cache.stats.stores == len(specs)
+        for spec, got in zip(specs, results):
+            key = cache.key(
+                spec.workload, spec.algorithm, max_skip_count=spec.max_skip_count,
+                lookahead=spec.lookahead, max_eccs_per_job=spec.max_eccs_per_job,
+                faults=spec.faults, retry=spec.retry,
+            )
+            assert cache.get(key) == got
+            assert manifest.is_done(key)
+        simulated = len(counted)
+        warm = execute_runs(specs[:-2], jobs=1, cache=cache)
+        assert len(counted) == simulated  # every untraced spec is a hit
+        assert warm == results[:-2]
+
+    @needs_fork
+    def test_pool_path_matches_serial(self, small_elastic_workload, tmp_path):
+        specs = self._sweep(small_elastic_workload, tmp_path)[:-2]
+        assert execute_runs(specs, jobs=2) == execute_runs(specs, jobs=1)

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.workload.ecc import ECCKind
+from repro.workload.cwf import parse_cwf_workload
+from repro.workload.ecc import ECC, ECCKind
 from repro.workload.generator import CWFWorkloadGenerator, GeneratorConfig, Workload
 from repro.workload.job import JobKind
 from repro.workload.twostage import TwoStageSizeConfig
@@ -134,6 +135,23 @@ class TestWorkloadOperations:
             assert after.requested_start - after.submit == pytest.approx(
                 before.requested_start - before.submit
             )
+
+    def test_scale_arrivals_keeps_ecc_at_submit_instant(self, tmp_path):
+        """An ECC issued at its job's submit instant must not be scaled
+        to an ulp before the scaled submission: the CWF written from
+        the scaled workload has to parse back."""
+        submit, factor = 1620434.6617759431, 1.853248925659374
+        workload = Workload(
+            jobs=[batch_job(1, submit=submit, num=32, estimate=600.0)],
+            eccs=[ECC(job_id=1, issue_time=submit, kind=ECCKind.EXTEND_TIME, amount=60.0)],
+        )
+        scaled = workload.scale_arrivals(factor)
+        assert scaled.eccs[0].issue_time == scaled.jobs[0].submit
+        path = tmp_path / "scaled.cwf"
+        scaled.to_cwf(path)
+        jobs, eccs = parse_cwf_workload(path)
+        assert [e.job_id for e in eccs] == [1]
+        assert eccs[0].issue_time >= jobs[0].submit
 
     def test_scale_arrivals_rejects_nonpositive(self, small_batch_workload):
         with pytest.raises(ValueError, match="positive"):
