@@ -52,7 +52,7 @@ def main() -> None:
     )
     args = parser.parse_args()
     out = Path(args.output)
-    out.mkdir(exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     n = args.jobs
     started = time.perf_counter()
 

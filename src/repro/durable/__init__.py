@@ -9,7 +9,7 @@ package provides the three pieces (docs/resilience.md):
   single-file containers, fsync'd appends;
 - :mod:`repro.durable.checkpoint` — periodic crash-consistent
   checkpoints of a running :class:`~repro.experiments.runner.SimulationRunner`
-  (schema ``repro.ckpt/1``) plus exact resume: a resumed run is
+  (schema ``repro.ckpt/2``) plus exact resume: a resumed run is
   bitwise-identical to an uninterrupted one — same
   :class:`~repro.metrics.records.RunMetrics`, same trace bytes;
 - :mod:`repro.durable.manifest` — sweep completion journals (schema

@@ -54,8 +54,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us la
     from repro.experiments.runner import SimulationRunner
     from repro.metrics.records import RunMetrics
 
-#: Schema tag of every checkpoint file; readers reject others.
-CHECKPOINT_SCHEMA = "repro.ckpt/1"
+#: Schema tag of every checkpoint file; readers reject others.  ``/2``
+#: pickles jobs and events as field tuples and drops an eager run's
+#: input workload; ``/1`` files are refused.
+CHECKPOINT_SCHEMA = "repro.ckpt/2"
 
 #: Filename suffix of checkpoint files.
 CHECKPOINT_SUFFIX = ".ckpt"
@@ -159,7 +161,7 @@ def _capture(
             "use run(checkpoint=...) which segments the event loop"
         )
     if runner._streaming and not runner._stream_exhausted:
-        if getattr(runner.workload, "spec", None) is None:
+        if getattr(runner._stream, "spec", None) is None:
             raise CheckpointError(
                 "this JobStream has no rebuildable spec; mid-stream checkpoints "
                 "need one (use the stream_* constructors or attach a StreamSpec)"
@@ -179,7 +181,8 @@ def _capture(
         }
 
     saved_iter = getattr(runner, "_stream_iter", None)
-    saved_items = runner.workload.items if runner._streaming else None
+    stream = runner._stream
+    saved_items = stream.items if stream is not None else None
     saved_sink = runner.trace.sink
     # The live span recorder (if any) is detached too: its open-span
     # stack includes the checkpoint_save span this very capture runs
@@ -187,9 +190,9 @@ def _capture(
     # (perf_counter origins don't survive processes).
     saved_recorder = runner._span_recorder
     try:
-        if runner._streaming:
+        if stream is not None:
             runner._stream_iter = None
-            runner.workload.items = None
+            stream.items = None
         runner.trace.sink = None
         runner._trace_writer = None
         runner._span_recorder = None
@@ -198,9 +201,9 @@ def _capture(
         except Exception as exc:
             raise CheckpointError(f"runner state is not picklable: {exc}") from exc
     finally:
-        if runner._streaming:
+        if stream is not None:
             runner._stream_iter = saved_iter
-            runner.workload.items = saved_items
+            stream.items = saved_items
         runner.trace.sink = saved_sink
         runner._trace_writer = writer
         runner._span_recorder = saved_recorder
@@ -388,9 +391,9 @@ def load_checkpoint(
     if runner._streaming:
         if runner._stream_exhausted:
             runner._stream_iter = iter(())
-            runner.workload.items = ()
+            runner._stream.items = ()
         else:
-            spec = runner.workload.spec
+            spec = runner._stream.spec
             if spec is None:  # pragma: no cover - _capture refuses to write these
                 raise CheckpointError(f"{path}: streaming state without a StreamSpec")
             fresh = spec.build()
@@ -403,7 +406,7 @@ def load_checkpoint(
                         "the source changed since the checkpoint was written"
                     )
             runner._stream_iter = iterator
-            runner.workload.items = iterator
+            runner._stream.items = iterator
 
     journal = meta.get("trace")
     if journal is not None:

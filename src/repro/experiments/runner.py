@@ -27,7 +27,7 @@ from contextlib import ExitStack
 from functools import partial
 from pathlib import Path
 from time import perf_counter
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro.cluster.accounting import UtilizationTracker
 from repro.cluster.machine import Machine
@@ -160,7 +160,6 @@ class SimulationRunner:
         retain_records: bool = True,
         stream_window: int = 64,
     ) -> None:
-        self.workload = workload
         self.scheduler = scheduler
         self.retry = retry if retry is not None else RetryPolicy()
         if not retain_records and not online:
@@ -171,10 +170,14 @@ class SimulationRunner:
         self._retain_records = retain_records
         self._online = OnlineAggregator() if online else None
         self._streaming = isinstance(workload, JobStream)
-        # Streaming bookkeeping (all zero/idle in eager mode): the
-        # admitted/retired counters replace scans over ``self.jobs``
-        # (which streaming keeps empty), and the span/work accumulators
-        # reproduce Workload.offered_load() from pristine pulls.
+        # The input stream (None for eager runs).  A checkpoint needs
+        # its StreamSpec to rebuild the iterator on resume; an eager
+        # runner keeps nothing of its Workload past construction.
+        self._stream: Optional[JobStream] = workload if self._streaming else None
+        # Admitted/retired job counters answer work_remains() in both
+        # modes (eager runs admit every job up front).  The span/work
+        # accumulators reproduce Workload.offered_load() from pristine
+        # stream pulls; eager runs take the value from the workload.
         self._jobs_admitted = 0
         self._jobs_retired = 0
         self._stream_inflight = 0
@@ -188,6 +191,8 @@ class SimulationRunner:
         self._span_start: Optional[float] = None
         self._span_end = 0.0
         self._work_sum = 0.0
+        self._input_load: Optional[float] = None
+        self._n_eccs = -1
         if self._streaming:
             if stream_window < 1:
                 raise ValueError(
@@ -221,6 +226,8 @@ class SimulationRunner:
             self._jobs_by_id = {job.job_id: job for job in self.jobs}
             if len(self._jobs_by_id) != len(self.jobs):
                 raise ValueError("duplicate job ids in workload")
+            self._jobs_admitted = len(self.jobs)
+            self._n_eccs = len(workload.eccs)
 
             dedicated = [job for job in self.jobs if job.is_dedicated]
             if dedicated and not scheduler.handles_dedicated:
@@ -257,6 +264,8 @@ class SimulationRunner:
         )
         for job in self.jobs:
             self.machine.validate_request(job.num)
+        if not self._streaming:
+            self._input_load = workload.offered_load()
 
         self.sim = Simulator(start_time=start)
         self._trace_out = Path(trace_out) if trace_out is not None else None
@@ -350,25 +359,14 @@ class SimulationRunner:
         self.faults: Optional[FaultInjector] = (
             FaultInjector(self, faults) if faults is not None and faults.enabled else None
         )
-        self._wire_events()
+        self._wire_events(() if self._streaming else workload.eccs)
         if self.faults is not None:
             self.faults.install()
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # Checkpoint forward-compat: runners pickled by versions
-        # without the spans/decision-provenance attributes must still
-        # resume (repro.durable.checkpoint pickles the whole runner).
-        self.__dict__.update(state)
-        self.__dict__.setdefault("_spans_out", None)
-        self.__dict__.setdefault("_spans_on", False)
-        self.__dict__.setdefault("_span_recorder", None)
-        self.__dict__.setdefault("_decisions", False)
-        self.__dict__.setdefault("_last_pass_reason", {})
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def _wire_events(self) -> None:
+    def _wire_events(self, eccs: Iterable[ECC]) -> None:
         if self._streaming:
             if self._stream_first is not None:
                 self._admit_stream_item(self._stream_first)
@@ -382,7 +380,7 @@ class SimulationRunner:
                 priority=EventPriority.ARRIVAL,
                 name="arrive",
             )
-        for ecc in self.workload.eccs:
+        for ecc in eccs:
             self.sim.schedule_at(
                 ecc.issue_time,
                 partial(self._on_ecc, ecc),
@@ -501,19 +499,13 @@ class SimulationRunner:
     def work_remains(self) -> bool:
         """Whether any job may still need the machine.
 
-        Gates the fault injector's failure renewal chain.  Streaming
-        runs answer from the admitted/retired counters plus the stream
-        frontier; eager runs scan the (fully materialized) job list.
+        Gates the fault injector's failure renewal chain.  Answered
+        from the admitted/retired counters plus the stream frontier (an
+        eager run admits every job up front and is never mid-stream):
+        every job retires exactly once, when it finishes, is cancelled
+        while queued, or fails permanently.
         """
-        if self._streaming:
-            return (
-                not self._stream_exhausted
-                or self._jobs_retired < self._jobs_admitted
-            )
-        return any(
-            job.state in (JobState.PENDING, JobState.QUEUED, JobState.RUNNING)
-            for job in self.jobs
-        )
+        return not self._stream_exhausted or self._jobs_retired < self._jobs_admitted
 
     # ------------------------------------------------------------------
     # Event handlers
@@ -1213,7 +1205,7 @@ class SimulationRunner:
         from repro import __version__
 
         if self._streaming:
-            hint = self.workload.n_jobs_hint
+            hint = self._stream.n_jobs_hint
             return {
                 "algorithm": self.scheduler.name,
                 "machine_size": self.machine.total,
@@ -1231,7 +1223,7 @@ class SimulationRunner:
             "machine_size": self.machine.total,
             "granularity": self.machine.granularity,
             "n_jobs": len(self.jobs),
-            "n_eccs": len(self.workload.eccs),
+            "n_eccs": self._n_eccs,
             "faulty": self.faults is not None,
             "repro_version": __version__,
         }
@@ -1279,10 +1271,10 @@ class SimulationRunner:
         Streaming runs reproduce :func:`repro.workload.load.offered_load`
         from the scalars accumulated at admission (pristine jobs, same
         summation order — bitwise-equal to the eager value); eager runs
-        delegate to the workload object.
+        took :meth:`Workload.offered_load` at construction.
         """
-        if not self._streaming:
-            return self.workload.offered_load()
+        if self._input_load is not None:
+            return self._input_load
         if self._span_start is None:
             return 0.0
         span = self._span_end - self._span_start

@@ -90,6 +90,79 @@ def _jsonable(value: Any) -> Any:
     raise TypeError(f"trace payload value {value!r} is not JSON-serializable")
 
 
+def _dumps(value: Any) -> str:
+    """Compact JSON of one value: the trace's reference encoding."""
+    return json.dumps(value, separators=(",", ":"), default=_jsonable)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+_float_repr = float.__repr__
+_INF = float("inf")
+
+
+def _encode_value(value: Any) -> str:
+    """One payload value, byte-identical to :func:`_dumps`.
+
+    The common scalar types are dispatched on their exact type (so
+    ``bool`` and numpy scalars, which subclass ``int``/``float``, never
+    take a shortcut); ``inf``/``nan`` and every other value go through
+    :func:`_dumps` itself.
+    """
+    cls = type(value)
+    if cls is int:
+        return _int_repr(value)
+    if cls is float:
+        if -_INF < value < _INF:
+            return _float_repr(value)
+    elif cls is str:
+        return _encode_str(value)
+    elif value is None:
+        return "null"
+    return _dumps(value)
+
+
+def _encode_record(
+    record: TraceRecord, heads: Dict[str, str], keys: Dict[str, str]
+) -> str:
+    """One trace line, ``_dumps({"t":…, "kind":…, "data":…}) + "\\n"``.
+
+    ``heads`` caches the encoded middle of the line per kind and
+    ``keys`` the encoded payload keys (with their ``:``): a handful of
+    strings repeated on every record.  The scalar dispatch is
+    :func:`_encode_value`, inlined.  A payload that is not a plain dict
+    with ``str`` keys takes :func:`_dumps` for the whole record.
+    """
+    data = record.data
+    if type(data) is not dict:
+        return _dumps({"t": record.time, "kind": record.kind, "data": data}) + "\n"
+    parts = []
+    for key, value in data.items():
+        encoded = keys.get(key)
+        if encoded is None:
+            if type(key) is not str:
+                return _dumps({"t": record.time, "kind": record.kind, "data": data}) + "\n"
+            encoded = keys[key] = _encode_str(key) + ":"
+        cls = type(value)
+        if cls is int:
+            parts.append(encoded + _int_repr(value))
+        elif cls is str:
+            parts.append(encoded + _encode_str(value))
+        elif cls is float and -_INF < value < _INF:
+            parts.append(encoded + _float_repr(value))
+        elif value is None:
+            parts.append(encoded + "null")
+        else:
+            parts.append(encoded + _dumps(value))
+    kind = record.kind
+    head = heads.get(kind) if type(kind) is str else None
+    if head is None:
+        head = ',"kind":' + _encode_value(kind) + ',"data":{'
+        if type(kind) is str:
+            heads[kind] = head
+    return '{"t":' + _encode_value(record.time) + head + ",".join(parts) + "}}\n"
+
+
 class TraceWriter:
     """Streaming JSONL writer for trace records.
 
@@ -114,8 +187,10 @@ class TraceWriter:
         self.count = 0
         self._buf: List[str] = []
         self._buf_bytes = 0
+        self._heads: Dict[str, str] = {}
+        self._keys: Dict[str, str] = {}
         header = {"schema": TRACE_SCHEMA, "meta": dict(meta or {})}
-        self._fh.write(json.dumps(header, separators=(",", ":"), default=_jsonable) + "\n")
+        self._fh.write(_dumps(header) + "\n")
 
     @classmethod
     def resume(cls, target: Union[str, Path], *, offset: int, count: int) -> "TraceWriter":
@@ -155,6 +230,8 @@ class TraceWriter:
         writer.count = count
         writer._buf = []
         writer._buf_bytes = 0
+        writer._heads = {}
+        writer._keys = {}
         return writer
 
     def write(self, record: TraceRecord) -> None:
@@ -165,13 +242,9 @@ class TraceWriter:
         drain it, so durability points and finished files see every
         record.  The bytes written are identical to unbuffered output.
         """
-        line = json.dumps(
-            {"t": record.time, "kind": record.kind, "data": record.data},
-            separators=(",", ":"),
-            default=_jsonable,
-        )
-        self._buf.append(line + "\n")
-        self._buf_bytes += len(line) + 1
+        line = _encode_record(record, self._heads, self._keys)
+        self._buf.append(line)
+        self._buf_bytes += len(line)
         if self._buf_bytes >= FLUSH_BYTES:
             self._drain()
         self.count += 1
@@ -245,9 +318,31 @@ class TraceFile:
         return len(self.records)
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _decode_line(line: str) -> Any:
+    """``json.loads(line)``, accepting and rejecting exactly its inputs.
+
+    The writer's own lines (a JSON value then the newline) decode in
+    one ``raw_decode`` call; leading whitespace, a BOM and every
+    malformed line go through :func:`json.loads` itself, so they raise
+    (or parse) exactly as before.
+    """
+    try:
+        value, end = _raw_decode(line)
+    except json.JSONDecodeError:
+        return json.loads(line)
+    rest = line[end:]
+    # json.loads allows only JSON whitespace after the value.
+    if rest != "\n" and rest.strip(" \t\n\r"):
+        return json.loads(line)
+    return value
+
+
 def _parse_header(line: str, source: str) -> Dict[str, Any]:
     try:
-        header = json.loads(line)
+        header = _decode_line(line)
     except json.JSONDecodeError as exc:
         raise TraceReadError(f"malformed header: {exc}", source=source, line=1) from None
     if not isinstance(header, dict) or "schema" not in header:
@@ -269,7 +364,7 @@ def _parse_header(line: str, source: str) -> Dict[str, Any]:
 
 def _parse_record(line: str, source: str, lineno: int) -> TraceRecord:
     try:
-        payload = json.loads(line)
+        payload = _decode_line(line)
     except json.JSONDecodeError as exc:
         raise TraceReadError(f"malformed record: {exc}", source=source, line=lineno) from None
     if not isinstance(payload, dict):
@@ -291,7 +386,7 @@ def _parse_record(line: str, source: str, lineno: int) -> TraceRecord:
             source=source,
             line=lineno,
         )
-    return TraceRecord(time=float(time), kind=kind, data=data)
+    return TraceRecord(float(time), kind, data)
 
 
 def _warn_truncated(source: str, lineno: int) -> None:

@@ -98,6 +98,20 @@ class Event:
     #: Cleared when the event fires or is discarded.
     _sink: Any = field(default=None, repr=False, compare=False)
 
+    # Checkpoints pickle the whole heap: a positional tuple of the
+    # field values (in declaration order) instead of a slot-name dict.
+    def __getstate__(self) -> tuple:
+        return (
+            self.time, self.priority, self.action, self.name, self.seq,
+            self.cancelled, self._sink,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self.time, self.priority, self.action, self.name, self.seq,
+            self.cancelled, self._sink,
+        ) = state
+
     def cancel(self) -> None:
         """Mark the event as cancelled.
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Optional
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRecord:
     """One audited simulation transition.
 

@@ -166,6 +166,27 @@ class Job:
         if not self.original_estimate:
             self.original_estimate = self.estimate
 
+    # Checkpoints pickle every live job: a positional tuple of the
+    # field values (in declaration order) is ~40% smaller than the
+    # default slot-name dict and faster to write and read.
+    def __getstate__(self) -> tuple:
+        return (
+            self.job_id, self.submit, self.num, self.estimate, self.actual,
+            self.kind, self.requested_start, self.scount, self.ecc_count,
+            self.cancel_at, self.min_procs, self.pref_procs, self.max_procs,
+            self.state, self.start_time, self.finish_time, self.killed,
+            self.requeues, self.requeued_at, self.original_estimate,
+        )
+
+    def __setstate__(self, state: tuple) -> None:
+        (
+            self.job_id, self.submit, self.num, self.estimate, self.actual,
+            self.kind, self.requested_start, self.scount, self.ecc_count,
+            self.cancel_at, self.min_procs, self.pref_procs, self.max_procs,
+            self.state, self.start_time, self.finish_time, self.killed,
+            self.requeues, self.requeued_at, self.original_estimate,
+        ) = state
+
     # ------------------------------------------------------------------
     # Scheduler-visible quantities
     # ------------------------------------------------------------------

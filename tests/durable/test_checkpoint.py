@@ -67,6 +67,24 @@ def checkpointed_run(tmp_path, algorithm, *, faults=None, every=60, **kwargs):
     return metrics, ckdir
 
 
+def _pickled_jobs(runner) -> int:
+    """Distinct Job objects a checkpoint of ``runner`` pickles."""
+    import io
+
+    from repro.workload.job import Job
+
+    class Counter(pickle.Pickler):
+        jobs = 0
+
+        def reducer_override(self, obj):
+            if type(obj) is Job:
+                Counter.jobs += 1
+            return NotImplemented
+
+    Counter(io.BytesIO(), protocol=pickle.HIGHEST_PROTOCOL).dump(runner)
+    return Counter.jobs
+
+
 class TestResumeOracle:
     @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
     def test_resume_matches_uninterrupted(self, tmp_path, algorithm):
@@ -293,6 +311,37 @@ class TestCheckpointFiles:
         )
         with pytest.raises(CheckpointError, match="SimulationRunner"):
             load_checkpoint(path)
+
+    def test_schema_one_checkpoint_is_refused(self, tmp_path):
+        runner = SimulationRunner(generate(), make_scheduler("EASY"))
+        runner.run(until=5000.0)
+        path = tmp_path / "ck" / "ckpt-000000000001.ckpt"
+        checksummed_write(
+            path,
+            pickle.dumps(runner),
+            magic="repro.ckpt/1",
+            meta={"event_count": 1},
+        )
+        for call in (load_checkpoint, inspect_checkpoint):
+            with pytest.raises(CheckpointError) as raised:
+                call(path)
+            assert "repro.ckpt/1" in str(raised.value)
+            assert CHECKPOINT_SCHEMA in str(raised.value)
+        assert CHECKPOINT_SCHEMA == "repro.ckpt/2"
+        with pytest.warns(RuntimeWarning, match="skipping unusable checkpoint"):
+            assert latest_checkpoint(path.parent) is None
+
+    def test_eager_checkpoint_carries_no_input_workload(self, tmp_path):
+        workload = generate()
+        runner = SimulationRunner(workload, make_scheduler("EASY-E"))
+        runner.run(until=5000.0)
+        assert not any(value is workload for value in vars(runner).values())
+        path = save_checkpoint(runner, tmp_path / "ck")
+        restored = load_checkpoint(path)
+        # One pickled Job per workload job: the run's own copies only.
+        assert _pickled_jobs(restored) == len(workload.jobs)
+        assert restored._offered_load() == workload.offered_load()
+        assert restored.run() == simulate(workload, make_scheduler("EASY-E"))
 
     def test_checkpoint_is_checksummed_container(self, tmp_path):
         _, ckdir = checkpointed_run(tmp_path, "EASY")

@@ -192,6 +192,63 @@ class TestNodeFaults:
         assert len(metrics.records) == 1
 
 
+def _scan_work_remains(runner: SimulationRunner) -> bool:
+    """The eager answer before the counters: scan every job's state."""
+    return any(
+        job.state in (JobState.PENDING, JobState.QUEUED, JobState.RUNNING)
+        for job in runner.jobs
+    )
+
+
+@pytest.mark.parametrize("name", ["EASY-DE", "Hybrid-LOS-E", "LOS-DE"])
+def test_work_remains_counters_equal_the_scan(name: str, monkeypatch) -> None:
+    """At every fault event, before and after it, the counter answer of
+    ``work_remains()`` equals a scan of the job states, through
+    cancellations, requeues and permanent failures."""
+    from repro.faults.injector import FaultInjector
+
+    checks = []
+
+    def checked(handler):
+        def wrapper(self, *args):
+            runner = self.runner
+            checks.append(runner.work_remains())
+            assert runner.work_remains() == _scan_work_remains(runner)
+            handler(self, *args)
+            assert runner.work_remains() == _scan_work_remains(runner)
+        return wrapper
+
+    for handler in ("_on_node_fail", "_on_node_repair", "_on_job_fail"):
+        monkeypatch.setattr(
+            FaultInjector, handler, checked(getattr(FaultInjector, handler))
+        )
+    config = GeneratorConfig(
+        n_jobs=150,
+        size=TwoStageSizeConfig(p_small=0.5),
+        p_dedicated=0.3,
+        p_extend=0.2,
+        p_reduce=0.1,
+        p_cancel=0.1,
+    )
+    workload = CWFWorkloadGenerator(config).generate(np.random.default_rng(3))
+    span = max(job.submit for job in workload.jobs)
+    runner = SimulationRunner(
+        workload,
+        make_scheduler(name),
+        faults=FaultConfig(mtbf=span / 30, mttr=1800.0, seed=4, p_job_fail=0.05,
+                           poison_jobs=(2, 9)),
+        retry=RetryPolicy(max_retries=2),
+    )
+    metrics = runner.run()
+    assert metrics.cancelled_records
+    assert metrics.requeue_count > 0
+    assert metrics.failed_jobs > 0
+    assert metrics.node_failures > 0
+    # The chain saw both answers: work left, and (at its end) none.
+    assert True in checks and False in checks
+    assert not runner.work_remains() and not _scan_work_remains(runner)
+
+
 @pytest.mark.parametrize(
     "name,elastic",
     [("EASY", False), ("LOS", False), ("Hybrid-LOS-E", True)],

@@ -53,3 +53,29 @@ class TestCancellation:
         event.cancel()
         event.cancel()
         assert event.cancelled
+
+
+class TestPickleState:
+    """Checkpoints pickle events as positional tuples of their fields."""
+
+    def test_state_tuple_covers_every_field_in_order(self):
+        import dataclasses
+
+        event = Event(time=3.5, priority=EventPriority.ECC, action=print, name="ecc",
+                      seq=41, cancelled=True, _sink="owner")
+        names = [f.name for f in dataclasses.fields(Event)]
+        assert event.__getstate__() == tuple(getattr(event, name) for name in names)
+
+    def test_round_trip_keeps_every_non_default_value(self):
+        import dataclasses
+        import pickle
+
+        event = Event(time=3.5, priority=EventPriority.ECC, action=print, name="ecc",
+                      seq=41, cancelled=True, _sink="owner")
+        for f in dataclasses.fields(Event):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(event, f.name) != f.default, f.name
+        restored = pickle.loads(pickle.dumps(event, protocol=pickle.HIGHEST_PROTOCOL))
+        for f in dataclasses.fields(Event):
+            assert getattr(restored, f.name) == getattr(event, f.name), f.name
+        assert type(restored.priority) is EventPriority

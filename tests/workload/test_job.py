@@ -180,3 +180,51 @@ class TestMalleabilityRange:
         clone = job.copy_for_run()
         assert clone.is_malleable
         assert (clone.min_procs, clone.pref_procs, clone.max_procs) == (32, 96, 128)
+
+
+class TestPickleState:
+    """Checkpoints pickle jobs as positional tuples of their fields."""
+
+    @staticmethod
+    def _non_default_job() -> Job:
+        job = Job(
+            job_id=7, submit=1.5, num=64, estimate=100.0, actual=80.0,
+            kind=JobKind.DEDICATED, requested_start=2.0, scount=3, ecc_count=2,
+            cancel_at=50.0, min_procs=32, pref_procs=64, max_procs=128,
+            original_estimate=90.0,
+        )
+        job.state = JobState.RUNNING
+        job.start_time = 3.0
+        job.finish_time = 9.0
+        job.killed = True
+        job.requeues = 1
+        job.requeued_at = 2.5
+        return job
+
+    def test_state_tuple_covers_every_field_in_order(self):
+        import dataclasses
+
+        job = self._non_default_job()
+        names = [f.name for f in dataclasses.fields(Job)]
+        assert job.__getstate__() == tuple(getattr(job, name) for name in names)
+
+    def test_round_trip_keeps_every_non_default_value(self):
+        import dataclasses
+        import pickle
+
+        job = self._non_default_job()
+        for f in dataclasses.fields(Job):
+            if f.default is not dataclasses.MISSING:
+                assert getattr(job, f.name) != f.default, f.name
+        restored = pickle.loads(pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL))
+        assert restored == job
+        for f in dataclasses.fields(Job):
+            assert getattr(restored, f.name) == getattr(job, f.name), f.name
+        assert restored.kind is JobKind.DEDICATED and restored.state is JobState.RUNNING
+
+    def test_shared_job_stays_shared(self):
+        import pickle
+
+        job = self._non_default_job()
+        first, second = pickle.loads(pickle.dumps([job, job]))
+        assert first is second
